@@ -40,23 +40,34 @@ type shardResult struct {
 }
 
 // runShard replays one rank's step stream through a fresh engine instance.
-// It is the per-rank slice of the serial loop in AnalyzeSerial; the two
-// must stay in lockstep.
+// It is the per-rank slice of the unsharded reference replay the
+// equivalence tests run (serial_test.go); the two must stay in lockstep.
+//
+// The engine is sized to the shard: a rank never holds more receives
+// outstanding than it posts, so a table of min(MaxReceives, receives
+// posted) descriptors fails on exactly the traces the full-size table
+// fails on. The receives and envelopes the engine keeps pointers to come
+// from two slabs sized by the shard's receive and arrival counts.
 func runShard(sh *shard, cfg Config) shardResult {
 	res := shardResult{
 		tags: make(map[int32]struct{}),
 		keys: make(map[[3]int32]struct{}),
 	}
 	start := cfg.Obs.Now()
+	cfg.MaxReceives = max(1, min(cfg.MaxReceives, sh.recvs))
 	m, err := newInstance(cfg)
 	if err != nil {
 		res.err = err
 		return res
 	}
+	recvs := make([]match.Recv, sh.recvs)
+	envs := make([]match.Envelope, sh.sends)
 	for _, s := range sh.steps {
 		switch s.kind {
 		case trace.OpRecv:
-			r := &match.Recv{Source: match.Rank(s.peer), Tag: match.Tag(s.tag), Comm: match.CommID(s.comm)}
+			r := &recvs[0]
+			recvs = recvs[1:]
+			*r = match.Recv{Source: match.Rank(s.peer), Tag: match.Tag(s.tag), Comm: match.CommID(s.comm)}
 			if r.Class() != match.ClassNone {
 				res.wildcardRecvs++
 			}
@@ -69,7 +80,9 @@ func runShard(sh *shard, cfg Config) shardResult {
 				return res
 			}
 		case trace.OpSend:
-			env := &match.Envelope{Source: match.Rank(s.peer), Tag: match.Tag(s.tag), Comm: match.CommID(s.comm)}
+			env := &envs[0]
+			envs = envs[1:]
+			*env = match.Envelope{Source: match.Rank(s.peer), Tag: match.Tag(s.tag), Comm: match.CommID(s.comm)}
 			m.arrive(env)
 		case trace.OpProgress:
 			empty, total, ok := m.occupancy()
@@ -141,7 +154,8 @@ func runPool(n, workers int, task func(i int)) {
 // merge folds per-shard results into one Report. Progress samples from all
 // shards are re-ordered by (time, seq) — the global replay order — and the
 // floating-point aggregates (PostedAvg, EmptyBinPct) are accumulated in
-// that order, so the merged Report is byte-identical to AnalyzeSerial's.
+// that order, so the merged Report is byte-identical to the unsharded
+// reference replay's.
 // Counter merges (depth stats, unexpected totals, tag/key unions) are
 // order-independent.
 func (sc *Schedule) merge(results []shardResult, cfg Config) (*Report, error) {

@@ -29,10 +29,13 @@ type Schedule struct {
 	shards []shard
 }
 
-// shard is the time-ordered step stream of one destination rank.
+// shard is the time-ordered step stream of one destination rank, with
+// the number of receives the rank posts and of messages arriving at it.
 type shard struct {
 	rank  int32
 	steps []step
+	recvs int
+	sends int
 }
 
 // BuildSchedule partitions t's events into per-destination-rank step
@@ -67,12 +70,14 @@ func BuildSchedule(t *trace.Trace, cfg Config) *Schedule {
 				sc.shards[ri].steps = append(sc.shards[ri].steps, step{
 					time: e.Walltime, seq: seq, rank: rank,
 					kind: trace.OpRecv, peer: e.Peer, tag: e.Tag, comm: e.Comm})
+				sc.shards[ri].recvs++
 			case trace.OpSend:
 				if di, ok := idx[e.Peer]; ok {
 					delay := cfg.Latency + cfg.LatencySpread*pairSpread(rank, e.Peer)
 					sc.shards[di].steps = append(sc.shards[di].steps, step{
 						time: e.Walltime + delay, seq: seq, rank: e.Peer,
 						kind: trace.OpSend, peer: rank, tag: e.Tag, comm: e.Comm})
+					sc.shards[di].sends++
 				}
 			case trace.OpProgress:
 				sc.shards[ri].steps = append(sc.shards[ri].steps, step{

@@ -94,3 +94,18 @@ func BenchmarkCacheSave(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkParseDUMPI measures the DUMPI text parser on an 8192-event
+// rank stream; bytes/s is the parse rate over the text.
+func BenchmarkParseDUMPI(b *testing.B) {
+	text := dumpiText(b, 8192)
+	r := bytes.NewReader(text)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	for b.Loop() {
+		r.Reset(text)
+		if _, err := ParseDUMPI(r, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

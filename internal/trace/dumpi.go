@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -30,58 +31,96 @@ import (
 // walltime) and classifies every call name; symbolic wildcard values
 // (MPI_ANY_SOURCE, MPI_ANY_TAG) are accepted alongside numeric ones.
 
+// maxLine is the longest DUMPI line the parser accepts: a longer line
+// fails the stream with bufio.ErrTooLong. The scanner starts with a small
+// buffer and grows it on demand up to this size.
+const maxLine = 1 << 20
+
 var (
-	enterRe = regexp.MustCompile(`^(MPI_\w+) entering at walltime ([0-9.eE+-]+)`)
-	fieldRe = regexp.MustCompile(`^\s*\w+ (\w+)=(\[?[-\w.]+\]?)`)
+	mpiPrefix  = []byte("MPI_")
+	enterMark  = []byte(" entering at walltime ")
+	returnMark = []byte(" returning at walltime ")
 )
 
+// calls maps every name Classify knows to its kind and to nameKinds' own
+// key, so events share one string per call name instead of each holding a
+// slice of its whole entering line.
+var calls = func() map[string]call {
+	m := make(map[string]call, len(nameKinds))
+	for name, kind := range nameKinds {
+		m[name] = call{name: name, kind: kind}
+	}
+	return m
+}()
+
+type call struct {
+	name string
+	kind OpKind
+}
+
 // ParseDUMPI reads one rank's DUMPI ASCII stream.
+//
+// Lines are scanned as bytes. An entering line is one that matches
+// `^(MPI_\w+) entering at walltime ([0-9.eE+-]+)`, a returning line one
+// that contains " returning at walltime ", and an argument line one that
+// matches `^\s*\w+ (\w+)=(\[?[-\w.]+\]?)` (brackets trimmed from the
+// value), where \w and \s are their ASCII classes.
 func ParseDUMPI(r io.Reader, rank int32) (*RankTrace, error) {
 	rt := &RankTrace{Rank: rank}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), maxLine)
 
+	var others map[string]string // call names Classify does not know
 	var cur *Event
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
-		if m := enterRe.FindStringSubmatch(line); m != nil {
-			wt, err := strconv.ParseFloat(m[2], 64)
+		line := sc.Bytes()
+		if name, wall, ok := enterLine(line); ok {
+			wt, err := strconv.ParseFloat(string(wall), 64)
 			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad walltime %q", lineNo, m[2])
+				return nil, fmt.Errorf("trace: line %d: bad walltime %q", lineNo, wall)
 			}
-			kind := Classify(m[1])
+			c, known := calls[string(name)]
+			if !known {
+				if c.name, known = others[string(name)]; !known {
+					if others == nil {
+						others = make(map[string]string)
+					}
+					c.name = string(name)
+					others[c.name] = c.name
+				}
+				c.kind = Classify(c.name)
+			}
 			rt.Events = append(rt.Events, Event{
-				Kind: kind, Name: m[1], Walltime: wt,
+				Kind: c.kind, Name: c.name, Walltime: wt,
 				Peer: -1, Tag: 0, Comm: 0,
 			})
 			cur = &rt.Events[len(rt.Events)-1]
-			if kind != OpSend && kind != OpRecv {
+			if c.kind != OpSend && c.kind != OpRecv {
 				cur = nil // arguments only matter for p2p
 			}
 			continue
 		}
-		if strings.Contains(line, " returning at walltime ") {
+		if bytes.Contains(line, returnMark) {
 			cur = nil
 			continue
 		}
 		if cur == nil {
 			continue
 		}
-		if m := fieldRe.FindStringSubmatch(line); m != nil {
-			key, raw := m[1], strings.Trim(m[2], "[]")
-			switch key {
+		if key, raw, ok := argLine(line); ok {
+			switch string(key) {
 			case "dest", "source":
-				cur.Peer = parseRankValue(raw)
+				cur.Peer = parseRankValue(string(raw))
 			case "tag":
-				cur.Tag = parseTagValue(raw)
+				cur.Tag = parseTagValue(string(raw))
 			case "comm":
-				if v, err := strconv.ParseInt(raw, 10, 32); err == nil {
+				if v, err := strconv.ParseInt(string(raw), 10, 32); err == nil {
 					cur.Comm = int32(v)
 				}
 			case "count":
-				if v, err := strconv.ParseInt(raw, 10, 32); err == nil {
+				if v, err := strconv.ParseInt(string(raw), 10, 32); err == nil {
 					cur.Count = int32(v)
 				}
 			}
@@ -92,6 +131,69 @@ func ParseDUMPI(r io.Reader, rank int32) (*RankTrace, error) {
 	}
 	return rt, nil
 }
+
+// enterLine splits an entering line into its call name and walltime text.
+func enterLine(line []byte) (name, wall []byte, ok bool) {
+	if !bytes.HasPrefix(line, mpiPrefix) {
+		return nil, nil, false
+	}
+	n := skip(line, len(mpiPrefix), isWord)
+	if n == len(mpiPrefix) || !bytes.HasPrefix(line[n:], enterMark) {
+		return nil, nil, false
+	}
+	w := n + len(enterMark)
+	end := skip(line, w, isWalltime)
+	if end == w {
+		return nil, nil, false
+	}
+	return line[:n], line[w:end], true
+}
+
+// argLine splits an argument line ("int tag=77", "request request=[12]")
+// into its key and its value without the brackets.
+func argLine(line []byte) (key, value []byte, ok bool) {
+	i := skip(line, 0, isSpace)
+	j := skip(line, i, isWord)
+	if j == i || j == len(line) || line[j] != ' ' {
+		return nil, nil, false
+	}
+	k := skip(line, j+1, isWord)
+	if k == j+1 || k == len(line) || line[k] != '=' {
+		return nil, nil, false
+	}
+	v := k + 1
+	if v < len(line) && line[v] == '[' {
+		v++
+	}
+	end := skip(line, v, isValue)
+	if end == v {
+		return nil, nil, false
+	}
+	return line[j+1 : k], line[v:end], true
+}
+
+// skip returns the index of the first byte at or after i that is not in
+// class.
+func skip(b []byte, i int, class func(byte) bool) int {
+	for i < len(b) && class(b[i]) {
+		i++
+	}
+	return i
+}
+
+func isWord(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '_'
+}
+
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\f' || c == '\r'
+}
+
+func isWalltime(c byte) bool {
+	return '0' <= c && c <= '9' || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-'
+}
+
+func isValue(c byte) bool { return isWord(c) || c == '-' || c == '.' }
 
 func parseRankValue(raw string) int32 {
 	if raw == "MPI_ANY_SOURCE" {

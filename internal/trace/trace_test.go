@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -267,5 +269,63 @@ func TestCacheRoundTrip(t *testing.T) {
 func TestSanitize(t *testing.T) {
 	if got := sanitize("BoxLib CNS/2"); got != "BoxLib_CNS_2" {
 		t.Fatalf("sanitize = %q", got)
+	}
+}
+
+// TestParseDUMPILineLimit pins the longest accepted line at maxLine-1
+// bytes plus its newline: the scanner's buffer starts small and grows, but
+// "token too long" must fire at the same length as with a buffer
+// allocated at full size, as the regular-expression parser had.
+func TestParseDUMPILineLimit(t *testing.T) {
+	const head = "MPI_Irecv entering at walltime 1.0\n"
+	for _, n := range []int{maxLine - 1, maxLine, maxLine + 1} {
+		arg := "int tag=" + strings.Repeat("7", n-len("int tag="))
+		input := head + arg + "\nint source=2\n"
+		rt, err := ParseDUMPI(strings.NewReader(input), 0)
+		_, wantErr := parseDUMPIRegexp(strings.NewReader(input), 0)
+		if n < maxLine {
+			if err != nil || wantErr != nil {
+				t.Fatalf("line of %d bytes: err = %v, oracle err = %v", n, err, wantErr)
+			}
+			if e := rt.Events[0]; e.Peer != 2 || e.Tag != AnyTag {
+				t.Fatalf("line of %d bytes: event = %+v", n, e)
+			}
+			continue
+		}
+		if !errors.Is(err, bufio.ErrTooLong) || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("line of %d bytes: err = %v, oracle err = %v", n, err, wantErr)
+		}
+	}
+}
+
+// dumpiText renders the first n events of the cache benchmark's rank 0
+// (n <= 8192) as DUMPI text.
+func dumpiText(tb testing.TB, n int) []byte {
+	tb.Helper()
+	rt := benchCacheTrace().Ranks[0]
+	rt.Events = rt.Events[:n]
+	var b bytes.Buffer
+	if err := WriteDUMPI(&b, &rt); err != nil {
+		tb.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestParseDUMPIAllocs bounds the parser's allocations: a stream costs the
+// trace, the scanner and the growth of the event slice, never an
+// allocation per line or per event.
+func TestParseDUMPIAllocs(t *testing.T) {
+	for _, n := range []int{1000, 8192} {
+		text := dumpiText(t, n)
+		r := bytes.NewReader(text)
+		allocs := testing.AllocsPerRun(20, func() {
+			r.Reset(text)
+			if _, err := ParseDUMPI(r, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 32 {
+			t.Errorf("%d events: %.0f allocations per parse, want <= 32", n, allocs)
+		}
 	}
 }
